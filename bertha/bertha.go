@@ -77,8 +77,6 @@ type (
 	CoalesceConfig = core.CoalesceConfig
 	// TraceConfig parameterizes in-band message tracing (WithTracing).
 	TraceConfig = core.TraceConfig
-	// HopStat is one layer's exclusive-latency rollup (ConnHopStats).
-	HopStat = core.HopStat
 	// ReactorConfig parameterizes the sharded reactor runtime
 	// (WithReactor): the listener-side event-loop datapath.
 	ReactorConfig = core.ReactorConfig
@@ -174,13 +172,6 @@ var (
 	// transport has no reactor (pipes) ignore it.
 	WithReactor = core.WithReactor
 )
-
-// ConnHopStats reports a negotiated connection's per-layer exclusive
-// send-latency rollup (outermost first), the attribution that tells an
-// operator — or a renegotiation policy — which layer owns the latency.
-// It needs tracing enabled (WithTracing) to have data to fold; without
-// it, or on non-negotiated conns, it returns nil.
-func ConnHopStats(conn Conn) []HopStat { return core.ConnHopStats(conn) }
 
 // Flush pushes a coalescing connection's pending sends to the wire
 // (WithCoalescing); on any other connection it is a no-op. Callers with

@@ -27,8 +27,7 @@
 // The -json flag switches the stack experiment to machine-readable
 // output, reporting allocations/op and bytes/op alongside the latency
 // percentiles. The -telemetry flag adds an instrumented stack scenario
-// and prints the per-chunnel latency attribution (which layer owns what
-// share of the send-path p95). The -trace flag adds a traced scenario:
+// (with -json, its per-layer telemetry snapshot too). The -trace flag adds a traced scenario:
 // sampled requests carry an in-band trace context, every layer records
 // spans, and the output reassembles them into per-message trees whose
 // per-hop exclusive latencies telescope to the measured end-to-end
@@ -48,7 +47,7 @@ import (
 func main() {
 	full := flag.Bool("full", false, "run paper-scale parameters (slower)")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON (stack experiment)")
-	telem := flag.Bool("telemetry", false, "instrument every stack layer and print the per-chunnel latency attribution (stack experiment)")
+	telem := flag.Bool("telemetry", false, "add an instrumented stack scenario; -json includes its per-layer telemetry (stack experiment)")
 	trace := flag.Bool("trace", false, "run the stack experiment with in-band message tracing and print the reassembled per-hop waterfall and exclusive-latency attribution")
 	showVersion := flag.Bool("version", false, "print version (module + vet-suite revision) and exit")
 	flag.Usage = func() {

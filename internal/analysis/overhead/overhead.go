@@ -1,14 +1,15 @@
 // Package overhead checks that each chunnel implementation's send path
-// prepends no more bytes than its registered core.ImplInfo declares in
+// (a SendBuf method, or the Encap method of a core.Kernel) prepends no
+// more bytes than its registered core.ImplInfo declares in
 // SendOverhead — the bound core/runtime's assemble sums into
-// Env.StackHeadroom. If a SendBuf prepends more than declared, the
+// Env.StackHeadroom. If a send path prepends more than declared, the
 // stack under-allocates headroom and every send falls off the zero-copy
 // fast path (or worse, reallocates mid-stack).
 //
 // Diagnostic categories:
 //
-//	exceeds   worst-case Prepend total on a SendBuf path is greater than
-//	          the package's declared SendOverhead
+//	exceeds   worst-case Prepend total on a SendBuf or Encap path is
+//	          greater than the package's declared SendOverhead
 //	unbounded a Prepend executes inside a loop, so no static bound exists
 //	nonconst  a Prepend size cannot be folded to a constant and carries
 //	          no //bertha:overhead N annotation
@@ -92,7 +93,7 @@ func run(pass *analysis.Pass) error {
 					continue
 				}
 				switch fd.Name.Name {
-				case "SendBuf":
+				case "SendBuf", "Encap":
 					buf := bufParam(pass, fd)
 					if buf == nil {
 						continue
@@ -100,8 +101,8 @@ func run(pass *analysis.Pass) error {
 					total := w.costFunc(fd, buf)
 					if total > bound.overhead {
 						pass.Reportf(fd.Name.Pos(), "exceeds",
-							"SendBuf prepends up to %d bytes but ImplInfo %q declares SendOverhead %d; raise the declaration or shrink the header",
-							total, bound.name, bound.overhead)
+							"%s prepends up to %d bytes but ImplInfo %q declares SendOverhead %d; raise the declaration or shrink the header",
+							fd.Name.Name, total, bound.name, bound.overhead)
 					}
 				case "SendBufs":
 					// The batch path must respect the same per-message
@@ -358,6 +359,10 @@ func (c *coster) stmt(s ast.Stmt) int {
 					}
 				}
 			}
+		}
+		// Both sides execute: b.Prepend(n)[0] = x prepends on the left.
+		for _, x := range s.Lhs {
+			total += c.expr(x)
 		}
 		for _, r := range s.Rhs {
 			total += c.expr(r)

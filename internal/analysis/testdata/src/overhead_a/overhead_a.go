@@ -1,6 +1,6 @@
 // Package overhead_a is the golden corpus for the overhead analyzer.
 // The package registers one ImplInfo declaring SendOverhead 4; every
-// SendBuf send path is checked against that bound.
+// SendBuf and kernel Encap send path is checked against that bound.
 package overhead_a
 
 import (
@@ -128,4 +128,32 @@ func (c *batchVarConn) SendBufs(ctx context.Context, bs []*wire.Buf) error {
 		b.Prepend(c.n) // want `nonconst`
 	}
 	return nil
+}
+
+// indexedConn writes its header through the Prepend result directly —
+// the assignment's left-hand side still prepends 8 bytes.
+type indexedConn struct{ next core.BufConn }
+
+func (c *indexedConn) SendBuf(ctx context.Context, b *wire.Buf) error { // want `exceeds`
+	b.Prepend(8)[0] = 1
+	return c.next.SendBuf(ctx, b)
+}
+
+// okKernel is a per-message kernel whose Encap prepends exactly the
+// declared bound: clean.
+type okKernel struct{}
+
+func (okKernel) Encap(b *wire.Buf) (*wire.Buf, error) {
+	b.Prepend(headerLen)[0] = 1
+	return b, nil
+}
+
+// overKernel's Encap is the kernel's send path, held to the same bound.
+type overKernel struct{}
+
+func (overKernel) Encap(b *wire.Buf) (*wire.Buf, error) { // want `exceeds`
+	hdr := b.Prepend(headerLen)
+	hdr[0] = 1
+	b.Prepend(2)[0] = 2
+	return b, nil
 }

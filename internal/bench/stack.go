@@ -30,17 +30,15 @@ type StackConfig struct {
 	JSON bool
 	// Telemetry adds an instrumented scenario (every layer of a
 	// serialize→encrypt→http2→udp stack wrapped in the telemetry
-	// recorder) and prints the per-layer latency attribution: each
-	// chunnel's inclusive p50/p95 and its exclusive share of the send
-	// path, the runtime's answer to "where does the time go".
+	// recorder): its row prices the instrumentation, and the JSON
+	// output carries the per-layer telemetry snapshot.
 	Telemetry bool
 	// Tracing adds a traced scenario: the trace chunnel in the stack's
 	// innermost slot, one request in traceSampleInterval stamped with an
 	// in-band context, every layer recording spans into a shared ring.
 	// The output reassembles the spans into per-message trees and prints
 	// the waterfall plus a per-hop exclusive-latency attribution that
-	// telescopes to the measured end-to-end latency — replacing the
-	// quantile-subtraction heuristic of the Telemetry scenario.
+	// telescopes to the measured end-to-end latency.
 	Tracing bool
 }
 
@@ -147,58 +145,12 @@ func Stack(w io.Writer, cfg StackConfig) error {
 		table.AddRow(r.Scenario, r.Messages, r.AllocsPerOp, r.BytesPerOp, r.Latency.P50, r.Latency.P95)
 	}
 	table.Render(w)
-	if instrumented != nil {
-		io.WriteString(w, "\n")
-		writeAttribution(w, instrumented)
-	}
 	if traceOut != nil {
 		io.WriteString(w, "\n")
 		writeTracedAttribution(w, traceOut)
 		writeTracedWaterfall(w, traceOut)
 	}
 	return nil
-}
-
-// stackTelemetryOrder is the instrumented stack outermost-first; the
-// attribution table subtracts each layer's inner neighbour to turn the
-// inclusive latencies into exclusive shares.
-var stackTelemetryOrder = []struct{ chunnel, impl string }{
-	{"serialize", "serialize/bincode"},
-	{"encrypt", "encrypt/aesgcm"},
-	{"http2", "http2/sw"},
-	{"transport", "udp"},
-}
-
-// writeAttribution renders the per-chunnel send-latency attribution from
-// an instrumented run: inclusive p50/p95 per layer, and each layer's
-// exclusive p95 share (inclusive p95 minus the next layer in).
-func writeAttribution(w io.Writer, reg *telemetry.Registry) {
-	table := stats.NewTable(
-		"stack: per-chunnel send-latency attribution (client side)",
-		"chunnel", "impl", "sends", "incl p50 (µs)", "incl p95 (µs)", "excl p95 (µs)", "share")
-	incl := make([]float64, len(stackTelemetryOrder))
-	snaps := make([]telemetry.HistogramSnapshot, len(stackTelemetryOrder))
-	for i, l := range stackTelemetryOrder {
-		snaps[i] = reg.Conn(l.chunnel, l.impl).SendLatency.Snapshot()
-		incl[i] = snaps[i].Quantile(0.95)
-	}
-	total := incl[0]
-	for i, l := range stackTelemetryOrder {
-		excl := incl[i]
-		if i+1 < len(incl) {
-			excl -= incl[i+1]
-		}
-		if excl < 0 {
-			excl = 0 // quantile subtraction can go slightly negative
-		}
-		share := 0.0
-		if total > 0 {
-			share = excl / total
-		}
-		table.AddRow(l.chunnel, l.impl, snaps[i].Count,
-			snaps[i].Quantile(0.50), incl[i], excl, fmt.Sprintf("%.0f%%", share*100))
-	}
-	table.Render(w)
 }
 
 // stackPair builds the serialize→framing→udp stack on both ends of a
@@ -309,7 +261,7 @@ func runStackBufs(cfg StackConfig) (StackResult, error) {
 // stackPairInstrumented builds a serialize→encrypt→http2→udp stack with
 // every layer wrapped in the telemetry recorder, mirroring what
 // core.assemble does to negotiated stacks. Only the client side records
-// into reg so the attribution reflects one direction.
+// into reg so its telemetry reflects one direction.
 func stackPairInstrumented(reg *telemetry.Registry) (cli, srv core.Conn, err error) {
 	a, b, err := transport.UDPPair("cli", "srv")
 	if err != nil {
@@ -354,7 +306,7 @@ func stackPairInstrumented(reg *telemetry.Registry) (cli, srv core.Conn, err err
 // runStackInstrumented measures the zero-copy path with the full
 // telemetry stack enabled; the delta against zero-copy-bufs is the
 // observability overhead, and reg afterwards holds the per-layer
-// attribution.
+// telemetry.
 func runStackInstrumented(cfg StackConfig, reg *telemetry.Registry) (StackResult, error) {
 	cli, srv, err := stackPairInstrumented(reg)
 	if err != nil {

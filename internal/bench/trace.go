@@ -59,7 +59,7 @@ func stackPairTraced(reg *telemetry.Registry, ring *tracing.SpanRing) (cli, srv 
 			return core.InstrumentTraced(conn, r.Conn(chunnel, impl), ring.Handle(chunnel, impl))
 		}
 		c = inst(c, "transport", "udp")
-		c = inst(traced.New(c, ring), "trace", core.TraceImplName)
+		c = inst(traced.New(c), "trace", core.TraceImplName)
 		f, err := framing.New(c, framing.DefaultMaxFrame)
 		if err != nil {
 			return nil, err
@@ -185,8 +185,7 @@ func runStackTraced(cfg StackConfig, reg *telemetry.Registry, ring *tracing.Span
 // writeTracedAttribution renders the traced run's per-hop latency
 // attribution from reassembled span trees: each hop's mean exclusive
 // latency and its share of the mean end-to-end, measured by telescoping
-// real per-message spans instead of subtracting aggregate quantiles
-// (the heuristic writeAttribution falls back to without tracing).
+// real per-message spans.
 func writeTracedAttribution(w io.Writer, out *stackTrace) {
 	type agg struct {
 		kind, layer, impl string

@@ -49,81 +49,51 @@ func Register(reg *core.Registry) {
 
 // New wraps conn with per-message DEFLATE compression.
 func New(conn core.Conn, level int) (core.Conn, error) {
-	if level < flate.HuffmanOnly || level > flate.BestCompression {
+	w, err := flate.NewWriter(nil, level)
+	if err != nil {
 		return nil, fmt.Errorf("compress: invalid level %d", level)
 	}
-	return &compConn{Conn: conn, level: level}, nil
+	return core.Layer(conn, &kernel{w: w, inner: core.HeadroomOf(conn)}), nil
 }
 
-type compConn struct {
-	core.Conn
-	level int
+// kernel deflates and inflates whole messages. Compression rewrites
+// the message, so it is a copy boundary rather than a prepend: Encap
+// returns a fresh Buf reserving the headroom of the connection below.
+type kernel struct {
+	inner int // headroom of the connection below
 	mu    sync.Mutex
 	buf   bytes.Buffer
 	w     *flate.Writer
 }
 
-func (c *compConn) Send(ctx context.Context, p []byte) error {
-	c.mu.Lock()
-	c.buf.Reset()
-	if c.w == nil {
-		w, err := flate.NewWriter(&c.buf, c.level)
-		if err != nil {
-			c.mu.Unlock()
-			return fmt.Errorf("compress: %w", err)
-		}
-		c.w = w
-	} else {
-		c.w.Reset(&c.buf)
+func (k *kernel) Encap(b *wire.Buf) (*wire.Buf, error) {
+	defer b.Release()
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	k.buf.Reset()
+	k.w.Reset(&k.buf)
+	if _, err := k.w.Write(b.Bytes()); err != nil {
+		return nil, fmt.Errorf("compress: %w", err)
 	}
-	if _, err := c.w.Write(p); err != nil {
-		c.mu.Unlock()
-		return fmt.Errorf("compress: %w", err)
+	if err := k.w.Close(); err != nil {
+		return nil, fmt.Errorf("compress: %w", err)
 	}
-	if err := c.w.Close(); err != nil {
-		c.mu.Unlock()
-		return fmt.Errorf("compress: %w", err)
-	}
-	// The compressed bytes move to a pooled buffer with headroom for the
-	// layers below, then travel zero-copy from here down.
-	out := wire.NewBufFrom(core.HeadroomOf(c.Conn), c.buf.Bytes())
-	c.mu.Unlock()
-	return core.SendBuf(ctx, c.Conn, out)
+	return wire.NewBufFrom(k.inner, k.buf.Bytes()), nil
 }
 
-// SendBuf consumes b. Compression rewrites the whole message, so this
-// is inherently a copy boundary, not a prepend.
-func (c *compConn) SendBuf(ctx context.Context, b *wire.Buf) error {
-	err := c.Send(ctx, b.Bytes())
-	b.Release()
-	return err
-}
-
-// Headroom: compression re-buffers the message, so upstream headroom
-// cannot reach the layers below; reserving it would be waste.
-func (c *compConn) Headroom() int { return 0 }
-
-func (c *compConn) Recv(ctx context.Context) ([]byte, error) {
-	b, err := core.RecvBuf(ctx, c.Conn)
-	if err != nil {
-		return nil, err
-	}
+// Decap inflates into an unpooled buffer (inflation allocates its
+// output regardless).
+func (k *kernel) Decap(b *wire.Buf) (*wire.Buf, error) {
+	defer b.Release()
 	r := flate.NewReader(bytes.NewReader(b.Bytes()))
 	out, err := io.ReadAll(r)
 	r.Close()
-	b.Release()
 	if err != nil {
 		return nil, fmt.Errorf("compress: inflate: %w", err)
 	}
-	return out, nil
+	return wire.WrapBuf(out), nil
 }
 
-// RecvBuf is Recv wrapped in an unpooled buffer (inflation allocates
-// its output regardless).
-func (c *compConn) RecvBuf(ctx context.Context) (*wire.Buf, error) {
-	p, err := c.Recv(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return wire.WrapBuf(p), nil
-}
+// Headroom: upstream headroom cannot reach the layers below a copy
+// boundary, so reserving it would be waste.
+func (k *kernel) Headroom(int) int { return 0 }

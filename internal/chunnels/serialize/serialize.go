@@ -60,90 +60,24 @@ func New(conn core.Conn, format string) (core.Conn, error) {
 	if !ok {
 		return nil, fmt.Errorf("serialize: unknown format %q", format)
 	}
-	return &tagConn{Conn: conn, tag: tag}, nil
+	return core.Layer(conn, tagKernel(tag)), nil
 }
 
-type tagConn struct {
-	core.Conn
-	tag byte
+// tagKernel prepends the format tag on send and checks and trims it on
+// receive, in place.
+type tagKernel byte
+
+func (k tagKernel) Encap(b *wire.Buf) (*wire.Buf, error) {
+	b.Prepend(1)[0] = byte(k)
+	return b, nil
 }
 
-func (c *tagConn) Send(ctx context.Context, p []byte) error {
-	return c.SendBuf(ctx, wire.NewBufFrom(c.Headroom(), p))
-}
-
-// SendBuf prepends the format tag into b's headroom.
-func (c *tagConn) SendBuf(ctx context.Context, b *wire.Buf) error {
-	b.Prepend(1)[0] = c.tag
-	return core.SendBuf(ctx, c.Conn, b)
-}
-
-// SendBufs stamps the format tag onto every message in one pass, then
-// hands the burst down whole.
-func (c *tagConn) SendBufs(ctx context.Context, bs []*wire.Buf) error {
-	for _, b := range bs {
-		b.Prepend(1)[0] = c.tag
-	}
-	return core.SendBufs(ctx, c.Conn, bs)
-}
-
-// RecvBufs checks and trims the format tag across a burst in one pass.
-// Mismatched messages are dropped individually (datagram semantics) and
-// the survivors compact into into's prefix; the call only fails when an
-// entire burst is bad.
-func (c *tagConn) RecvBufs(ctx context.Context, into []*wire.Buf) (int, error) {
-	if len(into) == 0 {
-		return 0, nil
-	}
-	for {
-		n, err := core.RecvBufs(ctx, c.Conn, into)
-		if err != nil {
-			return 0, err
+func (k tagKernel) Decap(b *wire.Buf) (*wire.Buf, error) {
+	if p := b.Bytes(); len(p) == 0 || p[0] != byte(k) {
+		got := byte(0)
+		if len(p) > 0 {
+			got = p[0]
 		}
-		out := 0
-		var firstErr error
-		for i := 0; i < n; i++ {
-			b := into[i]
-			if b.Len() == 0 || b.Bytes()[0] != c.tag {
-				got := firstByte(b.Bytes())
-				b.Release()
-				if firstErr == nil {
-					firstErr = fmt.Errorf("serialize: format mismatch (tag %#x)", got)
-				}
-				continue
-			}
-			b.TrimFront(1)
-			into[out] = b
-			out++
-		}
-		if out > 0 {
-			return out, nil
-		}
-		if firstErr != nil {
-			return 0, firstErr
-		}
-	}
-}
-
-// Headroom implements core.HeadroomConn.
-func (c *tagConn) Headroom() int { return 1 + core.HeadroomOf(c.Conn) }
-
-func (c *tagConn) Recv(ctx context.Context) ([]byte, error) {
-	b, err := c.RecvBuf(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return b.CopyOut(), nil
-}
-
-// RecvBuf checks and trims the format tag in place.
-func (c *tagConn) RecvBuf(ctx context.Context) (*wire.Buf, error) {
-	b, err := core.RecvBuf(ctx, c.Conn)
-	if err != nil {
-		return nil, err
-	}
-	if b.Len() == 0 || b.Bytes()[0] != c.tag {
-		got := firstByte(b.Bytes())
 		b.Release()
 		return nil, fmt.Errorf("serialize: format mismatch (tag %#x)", got)
 	}
@@ -151,12 +85,7 @@ func (c *tagConn) RecvBuf(ctx context.Context) (*wire.Buf, error) {
 	return b, nil
 }
 
-func firstByte(p []byte) byte {
-	if len(p) == 0 {
-		return 0
-	}
-	return p[0]
-}
+func (k tagKernel) Headroom(inner int) int { return 1 + inner }
 
 // Codec marshals values of T to and from the binary wire format.
 type Codec[T any] interface {

@@ -67,7 +67,17 @@ func (c *instrumentedConn) SendBuf(ctx context.Context, b *wire.Buf) error {
 	return err
 }
 
+// Recv takes the Buf path when spans are recorded: a plain []byte
+// carries no trace context, so the receive spans of every layer below
+// would otherwise be lost to applications using the simple API.
 func (c *instrumentedConn) Recv(ctx context.Context) ([]byte, error) {
+	if c.span.Active() {
+		b, err := c.RecvBuf(ctx)
+		if err != nil {
+			return nil, err
+		}
+		return b.CopyOut(), nil
+	}
 	t0 := time.Now()
 	p, err := c.Conn.Recv(ctx)
 	c.m.RecordRecv(len(p), time.Since(t0), err)

@@ -474,8 +474,7 @@ func (e *Endpoint) assemble(ctx context.Context, tc *taggedConn, stack []Resolve
 	e.env.SetStackHeadroom(headroom)
 
 	// When negotiation put the trace chunnel into the stack, enable the
-	// per-registry span ring and publish it through the Env so the trace
-	// chunnel (and any transport that wants to self-record) finds it.
+	// per-registry span ring the instrumented wrappers record into.
 	// Handles minted from a nil ring are inert, so the untraced path
 	// needs no branches below.
 	var spanRing *tracing.SpanRing
@@ -485,20 +484,14 @@ func (e *Endpoint) assemble(ctx context.Context, tc *taggedConn, stack []Resolve
 			ringSize = e.tracing.RingSize
 		}
 		spanRing = e.tel.EnableSpans(ringSize)
-		e.env.Provide(EnvTraceRing, spanRing)
 	}
 
 	// The base of the instrumented stack: the mux data channel, recorded
 	// under the pseudo-chunnel type "transport" so readouts attribute
 	// wire time separately from every chunnel above it.
 	data := tc.dataConn()
-	baseMetrics := e.tel.Conn("transport", tc.raw.LocalAddr().Net)
-	var conn Conn = InstrumentTraced(data, baseMetrics,
+	var conn Conn = InstrumentTraced(data, e.tel.Conn("transport", tc.raw.LocalAddr().Net),
 		spanRing.Handle("transport", tc.raw.LocalAddr().Net))
-	// layerMetrics collects each instrumented layer innermost-first; the
-	// managedConn derives per-hop exclusive latency (HopStats) from
-	// adjacent layers' inclusive histograms.
-	layerMetrics := []*telemetry.ConnMetrics{baseMetrics}
 	var active []activeImpl
 	// Batch-awareness bookkeeping: a SendBufs burst entering the top of
 	// the stack stays vectored only while every layer on the way down
@@ -534,9 +527,8 @@ func (e *Endpoint) assemble(ctx context.Context, tc *taggedConn, stack []Resolve
 		// Each resolved node gets an instrumented wrapper above it,
 		// preallocated per (type, impl) pair: sends/recvs/bytes/errors
 		// and inclusive latency, at zero allocations per message.
-		layerM := e.tel.Conn(rn.Type, rn.ImplName)
-		conn = InstrumentTraced(wrapped, layerM, spanRing.Handle(rn.Type, rn.ImplName))
-		layerMetrics = append(layerMetrics, layerM)
+		conn = InstrumentTraced(wrapped, e.tel.Conn(rn.Type, rn.ImplName),
+			spanRing.Handle(rn.Type, rn.ImplName))
 		active = append(active, activeImpl{impl: impl, claim: rn.ClaimID})
 	}
 	// The vectored segment is the contiguous batch-aware run from the
@@ -560,10 +552,7 @@ func (e *Endpoint) assemble(ctx context.Context, tc *taggedConn, stack []Resolve
 	}
 	openConns := e.tel.Gauge("core/open_conns")
 	openConns.Add(1)
-	return &managedConn{
-		Conn: conn, ep: e, side: side, active: active,
-		layers: layerMetrics, openConns: openConns,
-	}, nil
+	return &managedConn{Conn: conn, ep: e, side: side, active: active, openConns: openConns}, nil
 }
 
 type activeImpl struct {
@@ -589,54 +578,11 @@ const teardownTimeout = 5 * time.Second
 // the connection closes.
 type managedConn struct {
 	Conn
-	ep     *Endpoint
-	side   Side
-	active []activeImpl
-	// layers holds each instrumented layer's metrics innermost-first
-	// (base transport at index 0) — the input to HopStats.
-	layers    []*telemetry.ConnMetrics
+	ep        *Endpoint
+	side      Side
+	active    []activeImpl
 	openConns *telemetry.Gauge
 	once      sync.Once
-}
-
-// HopStats derives each layer's exclusive send latency (p50/p95, µs)
-// from the inclusive latency histograms of adjacent layers, folds the
-// result into each layer's EWMA rollup, and returns it outermost layer
-// first. A layer's inclusive latency contains every layer below it, so
-// the difference against its inner neighbour isolates the layer's own
-// cost; the base transport keeps its full inclusive time.
-func (m *managedConn) HopStats() []HopStat {
-	out := make([]HopStat, 0, len(m.layers))
-	prevP50, prevP95 := 0.0, 0.0
-	prevOK := false
-	stats := make([]HopStat, len(m.layers))
-	for i, lm := range m.layers {
-		snap := lm.SendLatency.Snapshot()
-		if snap.Count == 0 {
-			stats[i] = HopStat{Chunnel: lm.Chunnel, Impl: lm.Impl}
-			prevOK = false
-			continue
-		}
-		p50, p95 := snap.Quantile(0.50), snap.Quantile(0.95)
-		e50, e95 := p50, p95
-		if prevOK {
-			e50, e95 = p50-prevP50, p95-prevP95
-			if e50 < 0 {
-				e50 = 0
-			}
-			if e95 < 0 {
-				e95 = 0
-			}
-		}
-		lm.FoldHopExcl(e50, e95)
-		r50, r95, _ := lm.HopExcl()
-		stats[i] = HopStat{Chunnel: lm.Chunnel, Impl: lm.Impl, ExclP50: r50, ExclP95: r95}
-		prevP50, prevP95, prevOK = p50, p95, true
-	}
-	for i := len(stats) - 1; i >= 0; i-- {
-		out = append(out, stats[i])
-	}
-	return out
 }
 
 // SendBuf, RecvBuf, and Headroom forward the zero-copy path through the

@@ -31,11 +31,6 @@ const (
 	TraceImplName = "trace/inline"
 )
 
-// EnvTraceRing is the Env resource key under which assemble publishes
-// the endpoint's span ring; the trace chunnel's Wrap looks it up to
-// record receive-side spans.
-const EnvTraceRing = "telemetry/span-ring"
-
 // TraceConfig parameterizes WithTracing; see tracing.Config.
 type TraceConfig = tracing.Config
 
@@ -115,25 +110,3 @@ func (c *samplerConn) RecvBufs(ctx context.Context, into []*wire.Buf) (int, erro
 func (c *samplerConn) Flush(ctx context.Context) error { return Flush(ctx, c.Conn) }
 
 func (c *samplerConn) Headroom() int { return HeadroomOf(c.Conn) }
-
-// HopStat is one stack layer's exclusive-latency estimate: the layer's
-// inclusive send latency minus its inner neighbour's, i.e. the time the
-// layer itself costs. This is the per-hop signal a renegotiation policy
-// compares against its thresholds.
-type HopStat struct {
-	Chunnel string  `json:"chunnel"`
-	Impl    string  `json:"impl"`
-	ExclP50 float64 `json:"excl_p50_us"`
-	ExclP95 float64 `json:"excl_p95_us"`
-}
-
-// ConnHopStats computes the per-layer exclusive latency rollup for a
-// negotiated connection (outermost layer first) and folds it into each
-// layer's ConnMetrics EWMA. Returns nil for connections not built by an
-// Endpoint.
-func ConnHopStats(conn Conn) []HopStat {
-	if m, ok := conn.(*managedConn); ok {
-		return m.HopStats()
-	}
-	return nil
-}

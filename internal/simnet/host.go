@@ -199,22 +199,35 @@ func (l *svcListener) Close() error {
 			service = l.addr.Addr[i:]
 		}
 		l.host.dropService(service)
-		l.mu.Lock()
-		for _, c := range l.peers {
-			c.closePeer()
-		}
-		l.mu.Unlock()
+		l.closePeers()
 	})
 	return nil
 }
 
+// closeLocked closes the listener from Host.close, which holds the host
+// lock; closePeers takes l.mu inside it, keeping the host → listener
+// lock order.
 func (l *svcListener) closeLocked() {
 	l.once.Do(func() {
 		close(l.closed)
-		for _, c := range l.peers {
-			c.closePeer()
-		}
+		l.closePeers()
 	})
+}
+
+// closePeers closes every per-peer connection. It copies the peer set
+// under l.mu and closes the peers after releasing it: a peer's own
+// Close takes l.mu (dropPeer) while holding the once that closePeer
+// waits on.
+func (l *svcListener) closePeers() {
+	l.mu.Lock()
+	peers := make([]*hostConn, 0, len(l.peers))
+	for _, c := range l.peers {
+		peers = append(peers, c)
+	}
+	l.mu.Unlock()
+	for _, c := range peers {
+		c.closePeer()
+	}
 }
 
 func (l *svcListener) dropPeer(key string) {

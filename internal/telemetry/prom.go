@@ -8,7 +8,6 @@ package telemetry
 import (
 	"fmt"
 	"io"
-	"math"
 	"strings"
 )
 
@@ -105,33 +104,6 @@ func (s Snapshot) WriteProm(w io.Writer) {
 			}
 			if c.RecvLatency.Count > 0 {
 				writePromHist(w, "bertha_conn_recv_latency_ns", labels, c.RecvLatency.raw)
-			}
-		}
-		hopAny := false
-		for _, c := range s.Conns {
-			if c.HopExclP50 != 0 || c.HopExclP95 != 0 {
-				hopAny = true
-				break
-			}
-		}
-		if hopAny {
-			for _, q := range []struct {
-				suffix string
-				get    func(ConnStats) float64
-			}{
-				{"p50", func(c ConnStats) float64 { return c.HopExclP50 }},
-				{"p95", func(c ConnStats) float64 { return c.HopExclP95 }},
-			} {
-				n := "bertha_conn_hop_excl_" + q.suffix + "_us"
-				fmt.Fprintf(w, "# TYPE %s gauge\n", n)
-				for _, c := range s.Conns {
-					v := q.get(c)
-					if v == 0 || math.IsNaN(v) {
-						continue
-					}
-					fmt.Fprintf(w, "%s{chunnel=\"%s\",impl=\"%s\"} %g\n",
-						n, promLabel(c.Chunnel), promLabel(c.Impl), v)
-				}
 			}
 		}
 	}

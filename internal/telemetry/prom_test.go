@@ -19,7 +19,6 @@ func TestWritePromShapes(t *testing.T) {
 	h.Observe(20 * time.Microsecond)
 	m := r.Conn("transport", "udp")
 	m.RecordSend(100, 5*time.Microsecond, nil)
-	m.FoldHopExcl(4, 9)
 
 	var b strings.Builder
 	r.Snapshot().WriteProm(&b)
@@ -36,8 +35,6 @@ func TestWritePromShapes(t *testing.T) {
 		"bertha_conn_sends_total{chunnel=\"transport\",impl=\"udp\"} 1",
 		"bertha_conn_send_bytes_total{chunnel=\"transport\",impl=\"udp\"} 100",
 		"bertha_conn_send_latency_ns_bucket{chunnel=\"transport\",impl=\"udp\",le=\"+Inf\"} 1",
-		"bertha_conn_hop_excl_p50_us{chunnel=\"transport\",impl=\"udp\"} 4",
-		"bertha_conn_hop_excl_p95_us{chunnel=\"transport\",impl=\"udp\"} 9",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("prom output missing %q:\n%s", want, out)

@@ -113,24 +113,3 @@ func TestValueQuantileUnits(t *testing.T) {
 		t.Fatalf("ValueMean = %v, want 8", m)
 	}
 }
-
-func TestHopExclEWMA(t *testing.T) {
-	var m ConnMetrics
-	if _, _, ok := m.HopExcl(); ok {
-		t.Fatal("HopExcl ok before any fold")
-	}
-	m.FoldHopExcl(10, 20)
-	p50, p95, ok := m.HopExcl()
-	if !ok || p50 != 10 || p95 != 20 {
-		t.Fatalf("first fold must seed the EWMA: %v %v %v", p50, p95, ok)
-	}
-	m.FoldHopExcl(20, 40)
-	p50, _, _ = m.HopExcl()
-	if p50 != 10+hopEWMAAlpha*(20-10) {
-		t.Fatalf("EWMA fold = %v, want %v", p50, 10+hopEWMAAlpha*(20-10))
-	}
-	m.FoldHopExcl(math.NaN(), 1) // must be ignored
-	if v, _, _ := m.HopExcl(); math.IsNaN(v) {
-		t.Fatal("NaN fold poisoned the EWMA")
-	}
-}

@@ -72,10 +72,6 @@ type ConnStats struct {
 	// nil when no vectored traffic was recorded.
 	SendBatch *BatchStats `json:"send_batch,omitempty"`
 	RecvBatch *BatchStats `json:"recv_batch,omitempty"`
-	// HopExclP50/P95 are the exclusive-latency EWMA rollup (µs) folded
-	// from traced messages; absent until tracing observes this layer.
-	HopExclP50 float64 `json:"hop_excl_p50_us,omitempty"`
-	HopExclP95 float64 `json:"hop_excl_p95_us,omitempty"`
 }
 
 // histStats converts a snapshot, mapping NaN (empty histogram) to 0 so
@@ -146,7 +142,7 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Histograms[name] = histStats(h.Snapshot())
 	}
 	for _, m := range r.conns {
-		cs := ConnStats{
+		s.Conns = append(s.Conns, ConnStats{
 			Chunnel:     m.Chunnel,
 			Impl:        m.Impl,
 			Sends:       m.Sends.Value(),
@@ -159,11 +155,7 @@ func (r *Registry) Snapshot() Snapshot {
 			RecvLatency: histStats(m.RecvLatency.Snapshot()),
 			SendBatch:   batchStats(m.SendBatch.Snapshot()),
 			RecvBatch:   batchStats(m.RecvBatch.Snapshot()),
-		}
-		if p50, p95, ok := m.HopExcl(); ok {
-			cs.HopExclP50, cs.HopExclP95 = p50, p95
-		}
-		s.Conns = append(s.Conns, cs)
+		})
 	}
 	trace := r.trace
 	spans := r.spans

@@ -241,51 +241,6 @@ type ConnMetrics struct {
 	// the number of vectored calls, not messages.
 	SendBatch Histogram
 	RecvBatch Histogram
-
-	// hopExclP50/hopExclP95 are EWMAs of this layer's *exclusive*
-	// send-path latency in microseconds (its inclusive latency minus the
-	// next-inner layer's), folded in by managedConn.HopStats. Stored as
-	// math.Float64bits; zero means never folded. This is the per-hop
-	// signal a renegotiation policy consumes: a rising exclusive p95 on
-	// one layer fingers that layer, where the inclusive histograms blame
-	// everything beneath it too.
-	hopExclP50 atomic.Uint64
-	hopExclP95 atomic.Uint64
-}
-
-// hopEWMAAlpha weights new hop-exclusive observations: small enough to
-// smooth scheduling noise, large enough that a sustained regression
-// moves the rollup within tens of folds.
-const hopEWMAAlpha = 0.2
-
-// FoldHopExcl folds one exclusive-latency observation pair (µs) into
-// the EWMA rollup. Racing folds may drop an update; the rollup is a
-// monitoring signal, not an accounting ledger.
-func (m *ConnMetrics) FoldHopExcl(p50, p95 float64) {
-	if math.IsNaN(p50) || math.IsNaN(p95) || p50 < 0 || p95 < 0 {
-		return
-	}
-	fold := func(a *atomic.Uint64, v float64) {
-		old := a.Load()
-		if old == 0 {
-			a.Store(math.Float64bits(v))
-			return
-		}
-		prev := math.Float64frombits(old)
-		a.Store(math.Float64bits(prev + hopEWMAAlpha*(v-prev)))
-	}
-	fold(&m.hopExclP50, p50)
-	fold(&m.hopExclP95, p95)
-}
-
-// HopExcl returns the exclusive-latency EWMA rollup in microseconds;
-// ok is false before the first fold.
-func (m *ConnMetrics) HopExcl() (p50, p95 float64, ok bool) {
-	b50, b95 := m.hopExclP50.Load(), m.hopExclP95.Load()
-	if b50 == 0 && b95 == 0 {
-		return 0, 0, false
-	}
-	return math.Float64frombits(b50), math.Float64frombits(b95), true
 }
 
 // RecordSend records one send outcome of n bytes taking d.

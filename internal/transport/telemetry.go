@@ -65,11 +65,14 @@ func countersFor(netName string) *netCounters {
 // listener starts its reactor; the probes read the set at snapshot
 // time.
 var (
-	reactorsMu          sync.Mutex
-	reactors            = map[*reactorListener]struct{}{}
-	reactorProbesOnce   sync.Once
-	reactorShardGauges  int
-	registerShardGauges func(upto int)
+	reactorsMu        sync.Mutex
+	reactors          = map[*reactorListener]struct{}{}
+	reactorProbesOnce sync.Once
+	// shardGaugesMu guards reactorShardGauges, the number of per-shard
+	// gauges published so far. It is held across gauge registration, so
+	// it is never taken under reactorsMu (the probes take reactorsMu).
+	shardGaugesMu      sync.Mutex
+	reactorShardGauges int
 )
 
 // reactorAgg is the process-wide rollup across live reactors.
@@ -113,8 +116,9 @@ func shardConnsAcross(idx int) int64 {
 	return n
 }
 
-// registerReactor adds a started listener to the accounting set and
-// (first time through) publishes the process-wide reactor gauges.
+// registerReactor adds a started listener to the accounting set,
+// publishes the process-wide reactor gauges (first time through), and
+// publishes a per-shard gauge for every shard index not yet covered.
 func registerReactor(l *reactorListener) {
 	reactorProbesOnce.Do(func() {
 		reg := telemetry.Default()
@@ -137,26 +141,18 @@ func registerReactor(l *reactorListener) {
 			}
 			return a.connMem / a.conns
 		})
-		registerShardGauges = func(upto int) {
-			for i := reactorShardGauges; i < upto; i++ {
-				idx := i
-				reg.RegisterGaugeProbe(shardGaugeName(idx), func() int64 {
-					return shardConnsAcross(idx)
-				})
-			}
-			if upto > reactorShardGauges {
-				reactorShardGauges = upto
-			}
-		}
 	})
 	reactorsMu.Lock()
 	reactors[l] = struct{}{}
-	upto := l.cfg.Shards
-	reg := registerShardGauges
-	cur := reactorShardGauges
 	reactorsMu.Unlock()
-	if reg != nil && upto > cur {
-		reg(upto)
+
+	shardGaugesMu.Lock()
+	defer shardGaugesMu.Unlock()
+	for ; reactorShardGauges < l.cfg.Shards; reactorShardGauges++ {
+		idx := reactorShardGauges
+		telemetry.Default().RegisterGaugeProbe(shardGaugeName(idx), func() int64 {
+			return shardConnsAcross(idx)
+		})
 	}
 }
 
